@@ -48,11 +48,9 @@ func main() {
 		faults   = flag.String("faults", "", `fault plan, e.g. "disk:0:degrade=8@t=1.5s..4s;retry=4" (see internal/fault)`)
 		jsonFlag = flag.Bool("json", false, "emit the pariod service's JSON encoding instead of the text report")
 		estimate = flag.Bool("estimate", false, "answer the analytic roofline estimate instead of simulating")
-		simPar   = flag.Int("sim-parallel", 1, "intra-run event-execution lanes to request (1 = sequential)")
 		traceIn  = flag.String("trace", "", "replay a trace file (app becomes \"trace\"; -version picks fortran | passion | native)")
 	)
 	flag.Parse()
-	core.SetDefaultParallel(*simPar)
 
 	if *estimate {
 		os.Exit(runEstimate(*app, *procs, *ionodes, *opt, *input, *version, *cached, *class, *faults, *jsonFlag))
@@ -178,7 +176,7 @@ func runTrace(path, version string, ionodes int, opt bool, faults string) (serve
 	if err != nil {
 		return serve.Request{}, core.Report{}, err
 	}
-	rep, err := serve.ExecuteTrace(context.Background(), req, 0, t)
+	rep, err := serve.ExecuteTrace(context.Background(), req, t)
 	if err != nil {
 		return serve.Request{}, core.Report{}, err
 	}

@@ -36,29 +36,6 @@ func TestSweepDriveInProcess(t *testing.T) {
 	}
 }
 
-// TestParallelDriveInProcess runs the parallelism contract drive against a
-// paired sequential/parallel server and requires byte-identity, accounted
-// wide grants, and the p99 report.
-func TestParallelDriveInProcess(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-parallel", "4", "-n", "6"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "byte-identical across the pair") ||
-		!strings.Contains(out, "latency p99") || !strings.Contains(out, "OK:") {
-		t.Fatalf("unexpected parallel report:\n%s", out)
-	}
-}
-
-func TestParallelDriveRejectsAddr(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-parallel", "2", "-addr", "127.0.0.1:1"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
 func TestSweepDriveRejectsBadSpec(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-sweep", "app=warp"}, &stdout, &stderr); code != 1 {

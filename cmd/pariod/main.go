@@ -10,7 +10,6 @@
 //	pariod -addr 127.0.0.1:0       # ephemeral port (printed on startup)
 //	pariod -workers 8 -queue 128 -cache 1024 -timeout 30s
 //	pariod -batch-queue 512 -max-sweep-points 8192 -max-sweeps 2
-//	pariod -max-parallel 8                  # intra-run event lanes for interactive runs
 //	pariod -pprof-addr 127.0.0.1:6060      # net/http/pprof on its own listener
 //	pariod -cache-dir /var/lib/pario -cache-disk-bytes 1073741824
 //	                                       # persistent disk (L2) result cache
@@ -116,7 +115,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		timeout    = fs.Duration("timeout", 60*time.Second, "per-request ceiling (requests may ask for less via ?timeout_sec=)")
 		maxPoints  = fs.Int("max-sweep-points", 4096, "largest expanded grid one /sweep may name")
 		maxSweeps  = fs.Int("max-sweeps", 4, "concurrently streaming sweeps; excess sweeps answer 429")
-		maxPar     = fs.Int("max-parallel", 1, "widest intra-run event parallelism one run may use (1 = sequential)")
 		traceStore = fs.Int64("trace-store-bytes", 256<<20, "uploaded-trace registry bound in canonical-encoding bytes (LRU)")
 		traceMax   = fs.Int64("trace-max-bytes", 32<<20, "largest single trace upload accepted")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
@@ -173,7 +171,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		Timeout:         *timeout,
 		MaxSweepPoints:  *maxPoints,
 		MaxSweeps:       *maxSweeps,
-		MaxParallel:     *maxPar,
 		TraceStoreBytes: *traceStore,
 		TraceMaxBytes:   *traceMax,
 	})

@@ -122,7 +122,7 @@ func TestPprofHook(t *testing.T) {
 	exited := make(chan int, 1)
 	go func() {
 		exited <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1",
-			"-pprof-addr", "127.0.0.1:0", "-max-parallel", "4"},
+			"-pprof-addr", "127.0.0.1:0"},
 			&stdout, &stderr, ready, stop)
 	}()
 	var addr string

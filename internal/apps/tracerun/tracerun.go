@@ -39,8 +39,6 @@ type Config struct {
 	// charged time is wait + copy). Writes rely on the machine's
 	// write-behind cache either way.
 	Opt bool
-	// Parallel, when non-zero, requests intra-run event parallelism.
-	Parallel int
 }
 
 func (c *Config) defaults() error {
@@ -76,9 +74,6 @@ func Run(cfg Config) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 	extent := cfg.Trace.MaxExtent()
 	file, err := sys.FS.Create("trace.dat", sys.DefaultLayout(), extent)

@@ -40,34 +40,10 @@ type System struct {
 
 	Procs     int
 	Recorders []*trace.Recorder
-
-	// parallel is the requested intra-run event parallelism (simulation
-	// lanes); faulted records that a non-empty fault plan was installed,
-	// which forces the sequential fallback (see parallelPolicy).
-	parallel int
-	faulted  bool
 }
-
-// defaultParallel is the process-wide intra-run parallelism applied to new
-// systems — the knob behind the -sim-parallel command-line flags, like
-// exp.SetWorkers for sweep-level parallelism.
-var defaultParallel = 1
-
-// SetDefaultParallel sets the intra-run event parallelism newly built
-// systems request (values below 1 mean sequential). Per-run configuration
-// (System.SetParallel, app Config.Parallel) overrides it.
-func SetDefaultParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultParallel = n
-}
-
-// DefaultParallel returns the process-wide intra-run parallelism default.
-func DefaultParallel() int { return defaultParallel }
 
 // defaultCapture is the process-wide per-operation capture switch — the
-// knob behind -capture / -emit-trace flags, mirroring defaultParallel.
+// knob behind -capture / -emit-trace flags.
 // When on, every rank recorder of a newly built system logs its data
 // operations with offsets, and MakeReport fills Report.Captured. Atomic
 // because the experiment harness toggles it around an app run while
@@ -110,7 +86,7 @@ func NewSystem(cfg *machine.Config, procs int) (*System, error) {
 	}
 	s := &System{
 		Cfg: cfg, Eng: eng, Topo: topo, Net: net, FS: fs, Comm: comm,
-		Procs: procs, parallel: defaultParallel,
+		Procs: procs,
 	}
 	capture := defaultCapture.Load()
 	for i := 0; i < procs; i++ {
@@ -150,53 +126,7 @@ func (s *System) InstallFaults(pl *fault.Plan) error {
 		r.BackoffSec = pl.Policy.BackoffSec
 	}
 	s.FS.SetResilience(r)
-	s.faulted = true
 	return nil
-}
-
-// SetParallel sets the intra-run event parallelism this run requests
-// (values below 1 mean sequential), overriding the process-wide default.
-// The request is resolved against the model at run time: see parallelPolicy
-// and the Parallel/EffectiveParallel/ParallelFallback report fields.
-func (s *System) SetParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.parallel = n
-}
-
-// Parallel returns the requested intra-run event parallelism.
-func (s *System) Parallel() int { return s.parallel }
-
-// Parallel-fallback reasons recorded in Report.ParallelFallback.
-const (
-	// FallbackFaultPlan: a fault plan is installed. Fault injections and the
-	// resilience machinery (timers, retries, abandoned stragglers) couple
-	// the whole system at zero latency, so there is no safe lane horizon.
-	FallbackFaultPlan = "fault_plan"
-	// FallbackDegenerateLookahead: the workload's interaction graph has
-	// cycles shorter than the machine's cross-node latency — client ranks
-	// and I/O nodes exchange same-instant events (resource grants,
-	// cache-space signals, write-behind acks) inside one engine — so a lane
-	// partition has no horizon to run ahead in.
-	FallbackDegenerateLookahead = "degenerate_lookahead"
-)
-
-// parallelPolicy resolves the requested parallelism against what the model
-// can prove safe. The paper's client-server workloads migrate rank processes
-// through shared file-system and network state with same-instant coupling,
-// which leaves no positive lookahead between any useful partition — so runs
-// fall back to sequential execution and record why, rather than risking the
-// deterministic merge order. Lane parallelism with a genuine horizon is
-// exercised by lane-partitioned models built directly on sim.LaneGroup.
-func (s *System) parallelPolicy() (effective int, fallback string) {
-	if s.parallel <= 1 {
-		return 1, ""
-	}
-	if s.faulted {
-		return 1, FallbackFaultPlan
-	}
-	return 1, FallbackDegenerateLookahead
 }
 
 // DefaultLayout returns a layout using the machine's default stripe unit
@@ -355,16 +285,6 @@ type Report struct {
 	// executed — the kernel-level work metric behind the run.
 	Events uint64
 
-	// Parallel is the intra-run event parallelism the run requested.
-	Parallel int
-	// EffectiveParallel is what the run actually used after the safety
-	// policy (1 when the model cannot be partitioned into lanes).
-	EffectiveParallel int
-	// ParallelFallback is why EffectiveParallel is below Parallel —
-	// FallbackFaultPlan or FallbackDegenerateLookahead — and empty when
-	// the request was honored (or nothing was requested).
-	ParallelFallback string
-
 	// Stats is the cross-layer metrics snapshot of the run: disk seeks
 	// and service times, I/O-node queue depth and utilization, network
 	// traffic and stalls, PFS request-size histograms, I/O-library
@@ -484,8 +404,6 @@ func (s *System) MakeReport(execSec float64) Report {
 		Events:        s.Eng.Events(),
 		Stats:         snap,
 	}
-	rep.Parallel = s.parallel
-	rep.EffectiveParallel, rep.ParallelFallback = s.parallelPolicy()
 	if len(s.Recorders) > 0 && s.Recorders[0].Capturing() {
 		rep.Captured = make([][]trace.CapturedOp, len(s.Recorders))
 		for i, rec := range s.Recorders {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"pario/internal/fault"
 	"pario/internal/machine"
 	"pario/internal/sim"
 	"pario/internal/trace"
@@ -224,65 +223,5 @@ func TestIONodeBusyReported(t *testing.T) {
 	// ratio can exceed 1 but stays bounded by the drive count plus slack.
 	if u := rep.MaxIONodeUtil(); u <= 0 || u > 8 {
 		t.Fatalf("max util = %g", u)
-	}
-}
-
-func reportFor(t *testing.T, s *System) Report {
-	t.Helper()
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) { p.Delay(1e-3) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.MakeReport(wall)
-}
-
-func TestParallelPolicyInReport(t *testing.T) {
-	// Sequential run: nothing requested, nothing to explain.
-	rep := reportFor(t, sp2System(t, 2))
-	if rep.Parallel != 1 || rep.EffectiveParallel != 1 || rep.ParallelFallback != "" {
-		t.Fatalf("sequential report = %d/%d/%q", rep.Parallel, rep.EffectiveParallel, rep.ParallelFallback)
-	}
-
-	// A healthy run that requests lanes records the honest answer: the
-	// client-server coupling makes the lookahead degenerate, so the run
-	// stays sequential and says why.
-	s := sp2System(t, 2)
-	s.SetParallel(4)
-	rep = reportFor(t, s)
-	if rep.Parallel != 4 || rep.EffectiveParallel != 1 {
-		t.Fatalf("parallel report = %d/%d", rep.Parallel, rep.EffectiveParallel)
-	}
-	if rep.ParallelFallback != FallbackDegenerateLookahead {
-		t.Fatalf("fallback = %q, want %q", rep.ParallelFallback, FallbackDegenerateLookahead)
-	}
-
-	// A fault plan always wins the explanation: injections are scheduled
-	// on global time, so the run must be sequential regardless of model
-	// structure.
-	s = sp2System(t, 2)
-	pl, err := fault.Parse("disk:0:degrade=2@t=0.1s..0.2s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.InstallFaults(pl); err != nil {
-		t.Fatal(err)
-	}
-	s.SetParallel(4)
-	rep = reportFor(t, s)
-	if rep.EffectiveParallel != 1 || rep.ParallelFallback != FallbackFaultPlan {
-		t.Fatalf("faulted report = %d/%q, want 1/%q", rep.EffectiveParallel, rep.ParallelFallback, FallbackFaultPlan)
-	}
-}
-
-func TestDefaultParallelSeedsNewSystems(t *testing.T) {
-	SetDefaultParallel(3)
-	defer SetDefaultParallel(1)
-	s := sp2System(t, 2)
-	if s.Parallel() != 3 {
-		t.Fatalf("parallel = %d, want default 3", s.Parallel())
-	}
-	SetDefaultParallel(0) // clamps to 1
-	if DefaultParallel() != 1 {
-		t.Fatalf("default = %d after clamp", DefaultParallel())
 	}
 }

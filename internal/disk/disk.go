@@ -184,8 +184,8 @@ func (d *Disk) Access(p *sim.Proc, off, size int64, write bool) error {
 // for a failing or throttled spindle. The factor applies to every component
 // (overhead, seek, transfer) of requests that reach service while it is in
 // effect; requests already queued are unaffected until then. Factors below
-// 1 model an upgrade. Unlike the deprecated Degrade, repeated calls do not
-// compound: SetDegrade(8) twice is still 8x.
+// 1 model an upgrade. The factor is absolute, not compounding:
+// SetDegrade(8) twice is still 8x, and Restore returns exactly to 1.
 func (d *Disk) SetDegrade(factor float64) {
 	if factor <= 0 {
 		panic("disk: degrade factor must be positive")
@@ -220,18 +220,6 @@ func (d *Disk) Stall(dur float64) {
 	d.eng.Spawn(d.name+".stall", func(w *sim.Proc) {
 		d.res.Use(w, dur)
 	})
-}
-
-// Degrade multiplies the current degrade factor — kept for compatibility.
-//
-// Deprecated: repeated calls compound and there is no way to recover the
-// healthy cost model from the result. Use SetDegrade/Restore, which hold an
-// absolute multiplier, instead.
-func (d *Disk) Degrade(factor float64) {
-	if factor <= 0 {
-		panic("disk: degrade factor must be positive")
-	}
-	d.mult *= factor
 }
 
 // Head returns the current head byte position.

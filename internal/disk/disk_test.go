@@ -225,7 +225,7 @@ func TestDegradeSlowsService(t *testing.T) {
 		s := p.Now()
 		d.Access(p, 0, 100000, false)
 		before = p.Now() - s
-		d.Degrade(4)
+		d.SetDegrade(4)
 		s = p.Now()
 		d.Access(p, 100000, 100000, false)
 		after = p.Now() - s
@@ -245,14 +245,14 @@ func TestDegradeBadFactorPanics(t *testing.T) {
 			t.Fatal("zero factor did not panic")
 		}
 	}()
-	d.Degrade(0)
+	d.SetDegrade(0)
 }
 
-// TestSetDegradeRestoreExact pins the degrade→restore regression: the old
-// Degrade multiplied the factor in place, so a repair implemented as
-// Degrade(1/f) drifted off baseline by floating-point residue. SetDegrade
-// is absolute and Restore returns the multiplier to exactly 1, so a
-// repaired disk's service times are bit-identical to a never-degraded one.
+// TestSetDegradeRestoreExact pins the degrade→restore regression: a
+// multiplier compounded in place and repaired by its inverse drifts off
+// baseline by floating-point residue. SetDegrade is absolute and Restore
+// returns the multiplier to exactly 1, so a repaired disk's service times
+// are bit-identical to a never-degraded one.
 func TestSetDegradeRestoreExact(t *testing.T) {
 	e, d := newDisk(t)
 	var base, repaired float64
@@ -278,13 +278,14 @@ func TestSetDegradeRestoreExact(t *testing.T) {
 	}
 }
 
-// The deprecated wrapper keeps its historical compounding semantics.
-func TestDeprecatedDegradeCompounds(t *testing.T) {
+// SetDegrade is absolute: a second call replaces the multiplier instead of
+// compounding it, and Restore brings it back to exactly 1.
+func TestSetDegradeDoesNotCompound(t *testing.T) {
 	_, d := newDisk(t)
-	d.Degrade(2)
-	d.Degrade(3)
-	if got := d.DegradeFactor(); got != 6 {
-		t.Fatalf("DegradeFactor = %g, want 6 (Degrade compounds in place)", got)
+	d.SetDegrade(2)
+	d.SetDegrade(3)
+	if got := d.DegradeFactor(); got != 3 {
+		t.Fatalf("DegradeFactor = %g, want 3 (SetDegrade replaces, not compounds)", got)
 	}
 	d.Restore()
 	if got := d.DegradeFactor(); got != 1 {

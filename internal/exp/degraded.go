@@ -89,11 +89,6 @@ type degradedResult struct {
 	err     error
 	events  uint64
 	snap    *sstats.Snapshot
-	// effPar and parFallback echo the run's parallelism decision
-	// (Report.EffectiveParallel / ParallelFallback): faulted runs must
-	// never silently parallelize, and the tests pin that here.
-	effPar      int
-	parFallback string
 }
 
 func (r degradedResult) EventCount() uint64              { return r.events }
@@ -142,7 +137,5 @@ func runDegraded(m *machine.Config, procs, chunksPerRank int, chunk int64, plan 
 	out.bw = rep.BandwidthMBs()
 	out.events = rep.Events
 	out.snap = rep.Stats
-	out.effPar = rep.EffectiveParallel
-	out.parFallback = rep.ParallelFallback
 	return out, nil
 }

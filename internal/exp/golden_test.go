@@ -11,9 +11,12 @@ package exp
 //	go test ./internal/exp -run Golden -update
 //
 // Each artifact is additionally run at 1 and 8 sweep workers and the two
-// outputs compared, pinning the runner's determinism guarantee (results
-// and metric snapshots are collected in input order, so worker count must
-// never change a byte).
+// outputs compared, and re-run at several worker counts under GOMAXPROCS 1
+// and NumCPU against the golden bytes, pinning the determinism guarantee:
+// results and metric snapshots are collected in input order, and the
+// engine's baton passing admits one running process goroutine at a time,
+// so neither the worker count nor how the Go runtime schedules those
+// goroutines may change a byte.
 
 import (
 	"bytes"
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,6 +93,37 @@ func TestGoldenArtifacts(t *testing.T) {
 				t.Errorf("%s output drifted from golden; %s", e.ID, firstDiff(string(want), got))
 			}
 		})
+	}
+}
+
+// TestGoldenArtifactsInvariantUnderParallelRequest re-runs every registered
+// artifact with sweep workers ∈ {2, 8} × GOMAXPROCS ∈ {1, NumCPU} and
+// compares against the committed golden bytes. GOMAXPROCS 1 is the case no
+// other test covers: it changes how the Go runtime interleaves the engine's
+// process goroutines, which must never move a byte.
+func TestGoldenArtifactsInvariantUnderParallelRequest(t *testing.T) {
+	if *update {
+		t.Skip("golden files being rewritten")
+	}
+	maxProcs := []int{1, runtime.NumCPU()}
+	if maxProcs[1] == 1 {
+		maxProcs = maxProcs[:1]
+	}
+	for _, workers := range []int{2, 8} {
+		for _, mp := range maxProcs {
+			prev := runtime.GOMAXPROCS(mp)
+			for _, e := range All() {
+				want, err := os.ReadFile(filepath.Join("testdata", "golden", e.ID+".txt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := runArtifact(t, e, workers); string(want) != got {
+					t.Errorf("-j %d GOMAXPROCS=%d: %s drifted; %s",
+						workers, mp, e.ID, firstDiff(string(want), got))
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package mp is a small message-passing layer (an MPI work-alike) over the
 // simulated interconnect: ranks mapped onto compute nodes, matched
 // point-to-point send/receive, and the collectives the I/O libraries need
-// (barrier, broadcast, gather, all-to-all-v). Collectives are implemented
+// (barrier, broadcast, reduce, all-to-all-v). Collectives are implemented
 // the way MPI implementations build them — binomial trees and pairwise
 // exchanges of real messages — so their cost responds to the machine's
 // latency, bandwidth and topology.
@@ -118,11 +118,8 @@ const (
 	tagBarrierUp = -1 - iota
 	tagBarrierDown
 	tagBcast
-	tagGather
 	tagAlltoall
 	tagReduceUp
-	tagScatter
-	tagAllgather
 )
 
 // Barrier synchronizes all ranks with an up-tree gather and a down-tree
@@ -195,22 +192,6 @@ func (c *Comm) Bcast(p *sim.Proc, rank, root int, size int64) {
 	}
 }
 
-// Gather collects size bytes from every rank at root (flat: each non-root
-// rank sends directly; root receives in rank order). Every rank must call
-// it.
-func (c *Comm) Gather(p *sim.Proc, rank, root int, size int64) {
-	if rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			c.Recv(p, rank, r, tagGather)
-		}
-		return
-	}
-	c.Send(p, rank, root, tagGather, size)
-}
-
 // Alltoallv exchanges sizes[r] bytes from this rank to every rank r (and
 // symmetrically receives what every rank holds for this one). sizes is
 // indexed by destination rank; sizes[rank] is a local copy and costs only
@@ -265,44 +246,4 @@ func (c *Comm) Reduce(p *sim.Proc, rank, root int, size int64) {
 func (c *Comm) Allreduce(p *sim.Proc, rank int, size int64) {
 	c.Reduce(p, rank, 0, size)
 	c.Bcast(p, rank, 0, size)
-}
-
-// Scatter distributes size bytes from root to every other rank (flat:
-// root sends each rank its piece directly). Every rank must call it.
-func (c *Comm) Scatter(p *sim.Proc, rank, root int, size int64) {
-	if rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.Send(p, rank, r, tagScatter, size)
-			}
-		}
-		return
-	}
-	c.Recv(p, rank, root, tagScatter)
-}
-
-// Allgather makes every rank hold all ranks' size-byte pieces: a ring
-// schedule with P-1 steps, each forwarding the accumulated block to the
-// right neighbour. Every rank must call it.
-func (c *Comm) Allgather(p *sim.Proc, rank int, size int64) {
-	n := c.Size()
-	if n == 1 {
-		return
-	}
-	right := (rank + 1) % n
-	left := (rank - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		c.Send(p, rank, right, tagAllgather, size)
-		c.Recv(p, rank, left, tagAllgather)
-	}
-}
-
-// Alltoall exchanges a uniform size bytes between every pair of ranks.
-// Every rank must call it.
-func (c *Comm) Alltoall(p *sim.Proc, rank int, size int64) {
-	sizes := make([]int64, c.Size())
-	for i := range sizes {
-		sizes[i] = size
-	}
-	c.Alltoallv(p, rank, sizes)
 }

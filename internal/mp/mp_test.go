@@ -166,20 +166,6 @@ func TestBcastReachesAllRanks(t *testing.T) {
 	}
 }
 
-func TestGatherCollectsAll(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 9} {
-		e, c := newComm(t, n)
-		done := 0
-		spawnRanks(t, e, n, func(p *sim.Proc, rank int) {
-			c.Gather(p, rank, 0, 1000)
-			done++
-		})
-		if done != n {
-			t.Fatalf("n=%d: %d ranks completed gather", n, done)
-		}
-	}
-}
-
 func TestAlltoallvCompletes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		e, c := newComm(t, n)
@@ -278,61 +264,5 @@ func TestTooManyRanksRejected(t *testing.T) {
 	})
 	if _, err := New(e, net, 3); err == nil {
 		t.Fatal("3 ranks on 2 compute nodes accepted")
-	}
-}
-
-func TestScatterReachesAll(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
-		for _, root := range []int{0, n - 1} {
-			e, c := newComm(t, n)
-			done := 0
-			spawnRanks(t, e, n, func(p *sim.Proc, rank int) {
-				c.Scatter(p, rank, root, 4096)
-				done++
-			})
-			if done != n {
-				t.Fatalf("n=%d root=%d: %d ranks completed scatter", n, root, done)
-			}
-		}
-	}
-}
-
-func TestAllgatherCompletes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8} {
-		e, c := newComm(t, n)
-		done := 0
-		spawnRanks(t, e, n, func(p *sim.Proc, rank int) {
-			c.Allgather(p, rank, 1000)
-			done++
-		})
-		if done != n {
-			t.Fatalf("n=%d: %d ranks completed allgather", n, done)
-		}
-	}
-}
-
-func TestAllgatherMovesRingVolume(t *testing.T) {
-	// A ring allgather moves (P-1) messages per rank.
-	const n = 4
-	e, c := newComm(t, n)
-	before := c.Network().Messages()
-	spawnRanks(t, e, n, func(p *sim.Proc, rank int) {
-		c.Allgather(p, rank, 1000)
-	})
-	moved := c.Network().Messages() - before
-	if moved != n*(n-1) {
-		t.Fatalf("allgather moved %d messages, want %d", moved, n*(n-1))
-	}
-}
-
-func TestAlltoallUniform(t *testing.T) {
-	e, c := newComm(t, 4)
-	done := 0
-	spawnRanks(t, e, 4, func(p *sim.Proc, rank int) {
-		c.Alltoall(p, rank, 2048)
-		done++
-	})
-	if done != 4 {
-		t.Fatalf("%d ranks completed alltoall", done)
 	}
 }

@@ -374,13 +374,8 @@ func (f *File) Layout() Layout { return f.layout }
 // Size returns the written high-water mark.
 func (f *File) Size() int64 { return f.size }
 
-// MapRange splits [off, off+size) into per-I/O-node chunks in file order.
-func (f *File) MapRange(off, size int64) []Chunk {
-	return f.mapRange(nil, off, size)
-}
-
-// mapRange appends the chunks of [off, off+size) to dst — the scratch-reusing
-// form behind MapRange and Transfer.
+// mapRange splits [off, off+size) into per-I/O-node chunks in file order,
+// appending them to dst so Transfer can reuse its scratch slice.
 func (f *File) mapRange(dst []Chunk, off, size int64) []Chunk {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("pfs: bad range off=%d size=%d", off, size))
@@ -588,6 +583,3 @@ func (f *File) chunkResilient(p *sim.Proc, clientNode int, c Chunk, write bool) 
 	fs.mAborted.Inc()
 	return &IOError{Op: opName(write), Node: c.Node, Attempts: attempts, Time: p.Now(), Err: lastErr}
 }
-
-// TopologyIndexOf returns the global topology index of FS I/O node i.
-func (fs *FS) TopologyIndexOf(i int) int { return fs.nodeGlobal[i] }

@@ -72,7 +72,7 @@ func TestMapRangeRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 400)
+	chunks := f.mapRange(nil, 0, 400)
 	if len(chunks) != 4 {
 		t.Fatalf("chunks = %d, want 4", len(chunks))
 	}
@@ -92,7 +92,7 @@ func TestMapRangeFirstNodeOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 300)
+	chunks := f.mapRange(nil, 0, 300)
 	wantNodes := []int{2, 3, 0} // wraps over 4 FS nodes
 	for i, c := range chunks {
 		if c.Node != wantNodes[i] {
@@ -107,7 +107,7 @@ func TestMapRangeUnalignedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(150, 100)
+	chunks := f.mapRange(nil, 150, 100)
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2", len(chunks))
 	}
@@ -119,7 +119,7 @@ func TestMapRangeUnalignedStart(t *testing.T) {
 	}
 }
 
-// Property: MapRange covers the requested range exactly, in order, with no
+// Property: mapRange covers the requested range exactly, in order, with no
 // chunk crossing a stripe-unit boundary.
 func TestMapRangeCoversProperty(t *testing.T) {
 	_, fs := newFS(t, 4)
@@ -130,7 +130,7 @@ func TestMapRangeCoversProperty(t *testing.T) {
 	prop := func(offRaw, sizeRaw uint32) bool {
 		off := int64(offRaw % (1 << 19))
 		size := int64(sizeRaw % (1 << 16))
-		chunks := f.MapRange(off, size)
+		chunks := f.mapRange(nil, off, size)
 		var covered int64
 		pos := off
 		for _, c := range chunks {
@@ -160,7 +160,7 @@ func TestPerNodeContiguity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 10000)
+	chunks := f.mapRange(nil, 0, 10000)
 	lastDisk := map[int]int64{}
 	for _, c := range chunks {
 		if prev, ok := lastDisk[c.Node]; ok {
@@ -242,8 +242,8 @@ func TestDistinctFilesDistinctStorage(t *testing.T) {
 	_, fs := newFS(t, 2)
 	a, _ := fs.Create("a", Layout{StripeUnit: 100, StripeFactor: 2, FirstNode: 0}, 1000)
 	b, _ := fs.Create("b", Layout{StripeUnit: 100, StripeFactor: 2, FirstNode: 0}, 1000)
-	ca := a.MapRange(0, 100)[0]
-	cb := b.MapRange(0, 100)[0]
+	ca := a.mapRange(nil, 0, 100)[0]
+	cb := b.mapRange(nil, 0, 100)[0]
 	if ca.Node == cb.Node && ca.Disk == cb.Disk && ca.DiskOff == cb.DiskOff {
 		t.Fatal("two files share the same disk bytes")
 	}
@@ -260,7 +260,7 @@ func TestRecreateReusesDiskOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := f.MapRange(0, 1000)
+	first := f.mapRange(nil, 0, 1000)
 	for i := 0; i < 5; i++ {
 		g, err := fs.Create("a", layout, 1000)
 		if err != nil {
@@ -272,7 +272,7 @@ func TestRecreateReusesDiskOffsets(t *testing.T) {
 		if g.Size() != 0 {
 			t.Fatalf("re-create did not truncate: size = %d", g.Size())
 		}
-		chunks := g.MapRange(0, 1000)
+		chunks := g.mapRange(nil, 0, 1000)
 		for j, c := range chunks {
 			if c != first[j] {
 				t.Fatalf("iteration %d chunk %d = %+v, want %+v (disk offsets must be stable)",
@@ -294,7 +294,7 @@ func TestRecreateLargerHintGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first 1000 bytes keep their offsets; the rest is addressable.
-	chunks := f.MapRange(0, 4000)
+	chunks := f.mapRange(nil, 0, 4000)
 	var covered int64
 	for _, c := range chunks {
 		covered += c.Len
@@ -396,7 +396,7 @@ func TestMultiDiskRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, _ := fs.Create("a", Layout{StripeUnit: 100, StripeFactor: 1, FirstNode: 0}, 1600)
-	chunks := f.MapRange(0, 1600)
+	chunks := f.mapRange(nil, 0, 1600)
 	seen := map[int]bool{}
 	for _, c := range chunks {
 		seen[c.Disk] = true
@@ -414,7 +414,7 @@ func TestBadRangePanics(t *testing.T) {
 			t.Error("negative range did not panic")
 		}
 	}()
-	f.MapRange(-1, 10)
+	f.mapRange(nil, -1, 10)
 }
 
 func TestDegradedIONodeStretchesStripedRead(t *testing.T) {
@@ -424,7 +424,7 @@ func TestDegradedIONodeStretchesStripedRead(t *testing.T) {
 	run := func(degrade bool) float64 {
 		e, fs := newFS(t, 4)
 		if degrade {
-			fs.IONode(2).Disk(0).Degrade(8)
+			fs.IONode(2).Disk(0).SetDegrade(8)
 		}
 		f, err := fs.Create("a", Layout{StripeUnit: 65536, StripeFactor: 4, FirstNode: 0}, 4<<20)
 		if err != nil {

@@ -21,15 +21,6 @@ import (
 // execution path shared by the daemon and cmd/iosim, so both produce the
 // same report for the same request.
 func Execute(ctx context.Context, req Request) (core.Report, error) {
-	return ExecuteParallel(ctx, req, 0)
-}
-
-// ExecuteParallel is Execute with an intra-run event-parallelism request
-// (0 keeps the process default). Parallelism is execution policy, not
-// request identity — the kernel's determinism contract makes the report
-// byte-identical for every value — which is why it is deliberately absent
-// from Request and the cache key.
-func ExecuteParallel(ctx context.Context, req Request, parallel int) (core.Report, error) {
 	var pl *fault.Plan
 	if req.Faults != "" {
 		var err error
@@ -57,7 +48,6 @@ func ExecuteParallel(ctx context.Context, req Request, parallel int) (core.Repor
 		}
 		return scf.Run11(scf.Config11{
 			Ctx: ctx, Faults: pl, Machine: m, Input: scfInput(req.Input), Procs: req.Procs, Version: v,
-			Parallel: parallel,
 		})
 	case "scf30":
 		m, err := machine.ParagonLarge(req.IONodes)
@@ -66,14 +56,14 @@ func ExecuteParallel(ctx context.Context, req Request, parallel int) (core.Repor
 		}
 		return scf.Run30(scf.Config30{
 			Ctx: ctx, Faults: pl, Machine: m, Input: scfInput(req.Input), Procs: req.Procs,
-			CachedPct: req.CachedPct, Balance: true, Parallel: parallel,
+			CachedPct: req.CachedPct, Balance: true,
 		})
 	case "fft":
 		m, err := machine.ParagonSmall(req.IONodes)
 		if err != nil {
 			return core.Report{}, err
 		}
-		return fft.Run(fft.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, OptimizedLayout: req.Opt, Parallel: parallel})
+		return fft.Run(fft.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, OptimizedLayout: req.Opt})
 	case "btio":
 		m, err := machine.SP2()
 		if err != nil {
@@ -83,13 +73,13 @@ func ExecuteParallel(ctx context.Context, req Request, parallel int) (core.Repor
 		if req.Class == "B" {
 			cls = btio.ClassB
 		}
-		return btio.Run(btio.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, Class: cls, Collective: req.Opt, Parallel: parallel})
+		return btio.Run(btio.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, Class: cls, Collective: req.Opt})
 	case "ast":
 		m, err := machine.ParagonLarge(req.IONodes)
 		if err != nil {
 			return core.Report{}, err
 		}
-		return ast.Run(ast.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, Optimized: req.Opt, Parallel: parallel})
+		return ast.Run(ast.Config{Ctx: ctx, Faults: pl, Machine: m, Procs: req.Procs, Optimized: req.Opt})
 	case "trace":
 		// The request names the trace only by hash; resolving the bytes
 		// needs a store (the daemon's upload registry, or a file loaded by
@@ -106,7 +96,7 @@ func ExecuteParallel(ctx context.Context, req Request, parallel int) (core.Repor
 // partition, the interface is req.Version, and req.Opt selects the
 // prefetch-overlap replay. The caller is responsible for tr matching
 // req.Trace — the daemon resolves it from its upload store by hash.
-func ExecuteTrace(ctx context.Context, req Request, parallel int, tr *trace.Trace) (core.Report, error) {
+func ExecuteTrace(ctx context.Context, req Request, tr *trace.Trace) (core.Report, error) {
 	var pl *fault.Plan
 	if req.Faults != "" {
 		var err error
@@ -120,7 +110,7 @@ func ExecuteTrace(ctx context.Context, req Request, parallel int, tr *trace.Trac
 	}
 	return tracerun.Run(tracerun.Config{
 		Ctx: ctx, Faults: pl, Machine: m, Trace: tr,
-		Interface: req.Version, Opt: req.Opt, Parallel: parallel,
+		Interface: req.Version, Opt: req.Opt,
 	})
 }
 

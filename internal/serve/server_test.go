@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -163,8 +165,8 @@ func TestServerEquivalentRequestsShareOneRun(t *testing.T) {
 
 // fakeRun installs a controllable execution seam; each distinct request
 // blocks until release closes (or its ctx ends).
-func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, Request, int) (core.Report, error) {
-	return func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, Request) (core.Report, error) {
+	return func(ctx context.Context, req Request) (core.Report, error) {
 		if started != nil {
 			started <- req.App
 		}
@@ -282,7 +284,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	// procs=4 wedges until its ctx ends (a run that would outlive any
 	// deadline); procs=8 completes instantly.
-	s.run = func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+	s.run = func(ctx context.Context, req Request) (core.Report, error) {
 		if req.Procs == 4 {
 			<-ctx.Done()
 			return core.Report{}, ctx.Err()
@@ -327,7 +329,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 func TestServerErrorsAreNotCached(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	calls := 0
-	s.run = func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+	s.run = func(ctx context.Context, req Request) (core.Report, error) {
 		calls++
 		if calls == 1 {
 			return core.Report{}, fmt.Errorf("transient failure")
@@ -376,6 +378,64 @@ func TestServerBadRequests(t *testing.T) {
 	}
 	if m := metricsOf(t, ts); m.BadRequestTotal != 7 {
 		t.Fatalf("bad_request_total = %d, want 7", m.BadRequestTotal)
+	}
+}
+
+// TestServerDropsSlowHeaderClient pins the connection limits of the
+// managed listener: a client that trickles a request header that never
+// ends is disconnected once the header deadline passes, instead of holding
+// the connection open for as long as it keeps sending.
+func TestServerDropsSlowHeaderClient(t *testing.T) {
+	prev := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	defer func() { readHeaderTimeout = prev }()
+	s := New(Options{Workers: 1})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: pario\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		tick := time.NewTicker(20 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				// A header line that grows forever; write errors mean
+				// the server has hung up, which the reader observes.
+				if _, err := io.WriteString(conn, "x"); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-trickled }()
+
+	// The server answers nothing and closes; a read that is still
+	// blocked when this deadline fires means the connection was held.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("slow-header client still connected after 5s; want it dropped after the header timeout")
 	}
 }
 

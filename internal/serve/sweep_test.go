@@ -508,7 +508,7 @@ func TestSweepClientDisconnectCancelsQueued(t *testing.T) {
 func TestSweepAllCacheHitsNoRuns(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	var calls atomic.Int64
-	s.run = func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+	s.run = func(ctx context.Context, req Request) (core.Report, error) {
 		calls.Add(1)
 		return core.Report{Machine: "fake", Procs: req.Procs, ExecSec: 1}, nil
 	}

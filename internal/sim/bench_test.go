@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -90,45 +89,6 @@ func BenchmarkSpawnJoin(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkLaneGroupWindows measures the conservative-window machinery: 4
-// lanes in a message ring, each window doing local events plus a cross-lane
-// Post at exactly the lookahead, at sequential and concurrent execution.
-// The two variants must produce identical lane clocks (pinned by the lanes
-// tests); here they pin the window scheduler's overhead on the gate.
-func BenchmarkLaneGroupWindows(b *testing.B) {
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			const lanes = 4
-			lg := NewLaneGroup(lanes, 1.0)
-			rounds := b.N/lanes + 1
-			// hops[i] always runs inside lane i and touches only lane i's
-			// state — cross-lane interaction goes through Post alone.
-			hops := make([]func(), lanes)
-			left := make([]int, lanes)
-			for i := range hops {
-				i := i
-				left[i] = rounds
-				hops[i] = func() {
-					// A little local work, then hand the baton on.
-					lg.Lane(i).After(0.25, func() {})
-					if left[i]--; left[i] > 0 {
-						next := (i + 1) % lanes
-						lg.Post(i, next, 1.0, hops[next])
-					}
-				}
-			}
-			for i := 0; i < lanes; i++ {
-				lg.Lane(i).After(0, hops[i])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := lg.Run(par); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }
 

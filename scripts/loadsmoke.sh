@@ -10,7 +10,9 @@
 #   2. a cold run misses the cache, a rerun hits it, bodies byte-identical
 #   3. the run counter does not move on the cached rerun
 #   4. pariobench's mixed hot/cold stream holds runs == misses
-#   5. SIGTERM drains gracefully (daemon prints "drained" and exits 0)
+#   5. -pprof-addr serves the pprof index on its own listener, and the
+#      service mux does not answer 200 on /debug/pprof/
+#   6. SIGTERM drains gracefully (daemon prints "drained" and exits 0)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,7 +29,7 @@ echo "loadsmoke: building..."
 go build -o "$tmp/pariod" ./cmd/pariod
 go build -o "$tmp/pariobench" ./cmd/pariobench
 
-"$tmp/pariod" -addr 127.0.0.1:0 >"$tmp/pariod.log" 2>&1 &
+"$tmp/pariod" -addr 127.0.0.1:0 -pprof-addr 127.0.0.1:0 >"$tmp/pariod.log" 2>&1 &
 daemon_pid=$!
 
 # The daemon prints "pariod: listening on http://HOST:PORT" once bound.
@@ -39,7 +41,9 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$base" ] || { echo "loadsmoke: FAIL: daemon never bound"; exit 1; }
-echo "loadsmoke: daemon up at $base"
+pprof=$(sed -n 's,^pariod: pprof on \(http://[^ ]*\)$,\1,p' "$tmp/pariod.log")
+[ -n "$pprof" ] || { echo "loadsmoke: FAIL: no pprof address in startup log"; cat "$tmp/pariod.log"; exit 1; }
+echo "loadsmoke: daemon up at $base, pprof at $pprof"
 
 curl -fsS "$base/healthz" >/dev/null || { echo "loadsmoke: FAIL: healthz"; exit 1; }
 
@@ -56,6 +60,11 @@ runs2=$(curl -fsS "$base/metrics" | sed -n 's/.*"runs_total": *\([0-9]*\).*/\1/p
 echo "loadsmoke: cold/cached contract holds (runs_total stayed at $runs1)"
 
 "$tmp/pariobench" -addr "${base#http://}" -n 40 -c 8 -hot 0.8
+
+curl -fsS "$pprof" >/dev/null || { echo "loadsmoke: FAIL: pprof index unreachable"; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' "$base/debug/pprof/")
+[ "$code" != 200 ] || { echo "loadsmoke: FAIL: service mux exposes /debug/pprof/"; exit 1; }
+echo "loadsmoke: pprof on its own listener only"
 
 kill -TERM "$daemon_pid"
 rc=0
